@@ -127,6 +127,22 @@ if [[ "$QUICK" -eq 0 ]]; then
     explain "$OVERLOAD_TRACE" | grep -q "decision audit:"
   cargo test -q --release --offline --test admission_overload
 
+  step "livebench: unit tests (release)"
+  # livebench is a package of its own (BENCHMARK.json runs it); nothing
+  # else runs its tests. Build into the workspace's target directory and
+  # refuse lock-file updates, so the step writes nothing under livebench/.
+  LIVEBENCH_TARGET="$PWD/target/livebench"
+  CARGO_TARGET_DIR="$LIVEBENCH_TARGET" cargo test -q --release --offline --locked \
+    --manifest-path livebench/Cargo.toml
+
+  step "livebench smoke: transcode_open with every video's digest checked"
+  # A short run of the two-level service end to end; the last line is
+  # the run's JSON verdict, which must report correct outputs.
+  CARGO_TARGET_DIR="$LIVEBENCH_TARGET" cargo run -q --release --offline --locked \
+    --manifest-path livebench/Cargo.toml -- \
+    --workload transcode_open --seed 1 --seconds 3 --trace 0 > "$TRACE_TMP/livebench.txt"
+  tail -n 1 "$TRACE_TMP/livebench.txt" | grep -q '"correct": true'
+
   step "perf smoke: record-path / snapshot / reconfigure / fig11 gates"
   # Reduced-configuration run of the perf gate (docs/performance.md).
   # The binary itself enforces the in-run invariant (sharded record path

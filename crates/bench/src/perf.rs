@@ -29,7 +29,8 @@
 //! [`compare`] against a checked-in baseline
 //! (`results/perf-baseline.json`); [`gate_failures`] additionally
 //! enforces the in-run invariants that the sharded record path beats the
-//! mutex reference and that the delta drain beats the full drain.
+//! mutex reference, that the reconfigure probe applied at least one
+//! epoch, and that the delta drain beats the full drain.
 
 use dope_apps::transcode;
 use dope_core::json::{parse, Value};
@@ -182,8 +183,29 @@ fn bench_reconfigure(quick: bool) -> Value {
         width: 32,
         height: 32,
     };
-    for id in 0..videos {
-        let _ = service.queue.enqueue(transcode::make_video(id, params));
+    // The nest can finish a burst inside one control period, before any
+    // consult sees a backlog; repeat the burst until WQ-Linear has
+    // narrowed the nest at least once (or give up after 5 s, which the
+    // gate then reports as zero epochs).
+    let epoch_recorded = || {
+        recorder
+            .records()
+            .iter()
+            .any(|r| matches!(r.event, TraceEvent::ReconfigureEpoch { .. }))
+    };
+    let give_up = Instant::now() + Duration::from_secs(5);
+    let mut bursts: u64 = 0;
+    while !epoch_recorded() && Instant::now() < give_up {
+        for id in 0..videos {
+            let _ = service
+                .queue
+                .enqueue(transcode::make_video(bursts * videos + id, params));
+        }
+        bursts += 1;
+        let settle = Instant::now() + Duration::from_millis(30);
+        while !epoch_recorded() && Instant::now() < settle {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
     service.queue.close();
     let _ = dope.wait();
@@ -210,6 +232,7 @@ fn bench_reconfigure(quick: bool) -> Value {
     };
     obj(vec![
         ("videos", Value::Number(videos)),
+        ("bursts", Value::Number(bursts)),
         ("epochs", Value::Number(pauses.len() as u64)),
         ("mean_pause_ms", Value::from_f64(mean(&pauses) * 1e3)),
         ("mean_relaunch_ms", Value::from_f64(mean(&relaunches) * 1e3)),
@@ -402,6 +425,18 @@ pub fn gate_failures(report: &Value) -> Vec<String> {
             _ => failures.push(format!(
                 "report is missing record_path.{sharded_key} / record_path.{mutex_key}"
             )),
+        }
+    }
+    if report.get("reconfigure").is_some() {
+        // `compare` skips zeroed metrics, so a probe that stopped
+        // reconfiguring would silently drop out of the baseline diff.
+        match metric(report, "reconfigure", "epochs") {
+            Some(epochs) if epochs >= 1.0 => {}
+            _ => failures.push(
+                "reconfigure: the live transcode probe applied no reconfiguration, \
+                 so it measured no pause"
+                    .to_string(),
+            ),
         }
     }
     if report.get("partial_reconfig_pause").is_some() {
@@ -676,6 +711,23 @@ mod tests {
         assert_eq!(empty.len(), 1, "{empty:?}");
         // Reports without the section (pre-probe baselines) are not judged.
         assert!(gate_failures(&tiny_report(12.0, 150.0, 80.0)).is_empty());
+    }
+
+    #[test]
+    fn gate_requires_a_reconfiguration_epoch() {
+        let with_epochs = |epochs: u64| {
+            let mut report = tiny_report(12.0, 150.0, 80.0);
+            if let Value::Object(fields) = &mut report {
+                fields.push((
+                    "reconfigure".to_string(),
+                    obj(vec![("epochs", Value::Number(epochs))]),
+                ));
+            }
+            report
+        };
+        assert!(gate_failures(&with_epochs(1)).is_empty());
+        let none = gate_failures(&with_epochs(0));
+        assert_eq!(none.len(), 1, "{none:?}");
     }
 
     #[test]

@@ -8,9 +8,13 @@
 //!
 //! * **parallel alternative** — a per-replica mini-pipeline: a sequential
 //!   `read` task dequeues a transaction and scatters its work chunks into
-//!   a replica-local queue; a parallel `work` task (the inner DoP knob)
-//!   executes chunks; the worker finishing a transaction's last chunk
-//!   records its response time;
+//!   a replica-local queue, then helps run them; a parallel `work` task
+//!   (the inner DoP knob) executes chunks; whichever thread finishes a
+//!   transaction's last chunk records its response time. `read` leaves
+//!   the next transaction in the global work queue (where `LoadCB` and
+//!   the mechanisms see it) while two or more chunks are pending, and
+//!   runs one of them instead of idling, so a width-`d` nest keeps all
+//!   `d` of its threads on the transaction in hand;
 //! * **sequential alternative** — the paper's `(1, SEQ)`: one task runs
 //!   whole transactions inline.
 
@@ -239,11 +243,8 @@ fn parallel_nest(
             cx.begin();
             let outcome = queue.dequeue_timeout(Duration::from_millis(2));
             let status = match outcome {
-                DequeueOutcome::Item((meta, chunk)) => {
-                    chunk();
-                    if meta.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        stats.record_completion(meta.submitted);
-                    }
+                DequeueOutcome::Item(item) => {
+                    run_chunk(item, &stats);
                     TaskStatus::Executing
                 }
                 DequeueOutcome::Drained => TaskStatus::Finished,
@@ -258,6 +259,15 @@ fn parallel_nest(
         work = work.with_max_extent(cap);
     }
     vec![read, work]
+}
+
+/// Runs one chunk; the thread that runs a transaction's last chunk
+/// records the transaction's completion.
+fn run_chunk((meta, chunk): ChunkItem, stats: &ServiceStats) {
+    chunk();
+    if meta.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+        stats.record_completion(meta.submitted);
+    }
 }
 
 /// The `read` stage body: owns the drain protocol (paper's `FiniCB`).
@@ -275,9 +285,12 @@ impl TaskBody for ReadBody {
         }
         // Backpressure: keep pending transactions in the *global* work
         // queue (where LoadCB and the mechanisms can see them) instead of
-        // hoarding them in the replica-local chunk queue.
+        // hoarding them in the replica-local chunk queue. Meanwhile help
+        // `work` with the chunks already scattered.
         if self.chunk_q.len() >= 2 {
-            std::thread::sleep(Duration::from_micros(200));
+            if let Some(item) = self.chunk_q.try_dequeue() {
+                run_chunk(item, &self.stats);
+            }
             cx.end();
             return TaskStatus::Executing;
         }
@@ -442,6 +455,163 @@ mod tests {
         assert_eq!(stats.completed(), 2);
         assert_eq!(stats.response().count(), 2);
         assert_eq!(stats.throughput().completed(), 2);
+    }
+
+    /// A transaction of `chunks` chunks that each bump `ran`.
+    fn counted_txn(id: u64, chunks: usize, ran: &Arc<AtomicU32>) -> Transaction {
+        Transaction::new(
+            id,
+            (0..chunks)
+                .map(|_| {
+                    let ran = Arc::clone(ran);
+                    Box::new(move || {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    }) as ChunkFn
+                })
+                .collect(),
+        )
+    }
+
+    fn read_body(service: &TwoLevelService) -> (ReadBody, WorkQueue<ChunkItem>) {
+        let chunk_q = WorkQueue::new();
+        let body = ReadBody {
+            source: service.queue.clone(),
+            chunk_q: chunk_q.clone(),
+            stats: Arc::clone(&service.stats),
+        };
+        (body, chunk_q)
+    }
+
+    #[test]
+    fn backpressured_read_runs_one_chunk_instead_of_waiting() {
+        let service = TwoLevelService::new();
+        let ran = Arc::new(AtomicU32::new(0));
+        service.queue.enqueue(counted_txn(0, 4, &ran)).unwrap();
+        service.queue.enqueue(counted_txn(1, 4, &ran)).unwrap();
+        let (mut read, chunk_q) = read_body(&service);
+        let mut cx = dope_core::task::NullCx::default();
+
+        // First invocation: dequeue transaction 0 and scatter its chunks.
+        assert_eq!(read.invoke(&mut cx), TaskStatus::Executing);
+        assert_eq!(chunk_q.len(), 4);
+        assert_eq!(ran.load(Ordering::Relaxed), 0);
+
+        // Second: backpressured, so run exactly one chunk on this thread
+        // and leave transaction 1 in the global queue.
+        assert_eq!(read.invoke(&mut cx), TaskStatus::Executing);
+        assert_eq!(chunk_q.len(), 3);
+        assert_eq!(ran.load(Ordering::Relaxed), 1);
+        assert_eq!(service.queue.len(), 1);
+        assert_eq!(service.stats.completed(), 0);
+    }
+
+    #[test]
+    fn transaction_run_entirely_by_read_completes_once() {
+        let service = TwoLevelService::new();
+        let ran = Arc::new(AtomicU32::new(0));
+        service.queue.enqueue(counted_txn(0, 3, &ran)).unwrap();
+        service.queue.enqueue(counted_txn(1, 2, &ran)).unwrap();
+        service.queue.close();
+        let (mut read, chunk_q) = read_body(&service);
+        let mut cx = dope_core::task::NullCx::default();
+
+        // Scatter transaction 0, then help with two of its chunks; with
+        // one chunk pending `read` scatters transaction 1 behind it and
+        // helps again, running transaction 0's last chunk itself.
+        for _ in 0..5 {
+            assert_eq!(read.invoke(&mut cx), TaskStatus::Executing);
+        }
+        assert_eq!(ran.load(Ordering::Relaxed), 3);
+        assert_eq!(chunk_q.len(), 2);
+        assert_eq!(service.stats.completed(), 1);
+        assert_eq!(service.stats.response().count(), 1);
+
+        // Transaction 1's first chunk runs on `read` too; its last one is
+        // left to `work`, which records the second and final completion.
+        assert_eq!(read.invoke(&mut cx), TaskStatus::Executing);
+        assert_eq!(chunk_q.len(), 1);
+        assert_eq!(read.invoke(&mut cx), TaskStatus::Finished);
+        read.fini(TaskStatus::Finished);
+        run_chunk(chunk_q.try_dequeue().unwrap(), &service.stats);
+        assert_eq!(ran.load(Ordering::Relaxed), 5);
+        assert_eq!(service.stats.completed(), 2);
+        assert_eq!(service.stats.response().count(), 2);
+    }
+
+    /// Flips the nest between its parallel and sequential alternatives
+    /// at every consult.
+    struct Flipper;
+
+    impl dope_core::Mechanism for Flipper {
+        fn name(&self) -> &'static str {
+            "Flipper"
+        }
+
+        fn reconfigure(
+            &mut self,
+            _snap: &dope_core::MonitorSnapshot,
+            current: &dope_core::Config,
+            shape: &ProgramShape,
+            res: &dope_core::Resources,
+        ) -> Option<dope_core::Config> {
+            let nest = nest::find_two_level(shape)?;
+            let width = if nest::width_of(current, &nest) > 1 {
+                1
+            } else {
+                res.threads
+            };
+            Some(nest::config_for_width(shape, &nest, res.threads, width))
+        }
+    }
+
+    #[test]
+    fn live_service_conserves_transactions_across_alternative_flips() {
+        let service = TwoLevelService::new();
+        let recorder = dope_trace::Recorder::bounded(1 << 16);
+        let dope = dope_runtime::Dope::builder(dope_core::Goal::MinResponseTime { threads: 3 })
+            .mechanism(Box::new(Flipper))
+            .control_period(Duration::from_millis(5))
+            .queue_probe(service.queue_probe())
+            .recorder(recorder.clone())
+            .launch(service.descriptor("txn", None))
+            .expect("launch");
+        // Trickle transactions in until the nest has flipped at least
+        // twice (one way and back), so some are in flight at each drain.
+        let epochs = || {
+            recorder
+                .records()
+                .iter()
+                .filter(|r| r.event.kind() == "ReconfigureEpoch")
+                .count()
+        };
+        let t0 = Instant::now();
+        let mut n = 0u64;
+        while n < 40 || epochs() < 2 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(20),
+                "only {} reconfigurations in 20 s",
+                epochs()
+            );
+            service.queue.enqueue(make_txn(n, 8)).unwrap();
+            n += 1;
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        service.queue.close();
+        let report = dope.wait().expect("drains");
+
+        assert_eq!(service.stats.completed(), n);
+        assert_eq!(service.stats.response().count(), n as usize);
+        let shape = ProgramShape::of_specs(&service.descriptor("txn", None));
+        let nest = nest::find_two_level(&shape).unwrap();
+        let widths: Vec<u32> = report
+            .config_history
+            .iter()
+            .map(|(_, config)| nest::width_of(config, &nest))
+            .collect();
+        assert!(
+            widths.contains(&1) && widths.iter().any(|&w| w > 1),
+            "the run must visit both alternatives, saw widths {widths:?}"
+        );
     }
 
     #[test]

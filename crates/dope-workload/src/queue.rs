@@ -10,7 +10,7 @@
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Result of a timed dequeue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,11 +141,17 @@ impl<T> WorkQueue<T> {
 
     /// Dequeues, waiting up to `timeout` for an item.
     ///
+    /// The bound holds across wake-ups that find the queue empty (a
+    /// spurious wake-up, or an item another consumer took first): each
+    /// one waits only for what is left of `timeout`.
+    ///
     /// Returns [`DequeueOutcome::Drained`] once the queue is closed *and*
     /// empty, so consumers drain residual items before terminating.
     pub fn dequeue_timeout(&self, timeout: Duration) -> DequeueOutcome<T> {
         let (lock, cvar) = &*self.inner;
         let mut inner = lock.lock();
+        // Read the clock only once the caller actually has to wait.
+        let mut deadline = None;
         loop {
             if let Some(item) = inner.queue.pop_front() {
                 inner.dequeued += 1;
@@ -154,16 +160,13 @@ impl<T> WorkQueue<T> {
             if inner.closed {
                 return DequeueOutcome::Drained;
             }
-            if cvar.wait_for(&mut inner, timeout).timed_out() {
-                return match inner.queue.pop_front() {
-                    Some(item) => {
-                        inner.dequeued += 1;
-                        DequeueOutcome::Item(item)
-                    }
-                    None if inner.closed => DequeueOutcome::Drained,
-                    None => DequeueOutcome::TimedOut,
-                };
+            let now = Instant::now();
+            let deadline = *deadline.get_or_insert_with(|| now + timeout);
+            let left = deadline.saturating_duration_since(now);
+            if left.is_zero() {
+                return DequeueOutcome::TimedOut;
             }
+            cvar.wait_for(&mut inner, left);
         }
     }
 
@@ -335,6 +338,49 @@ mod tests {
         }
         assert_eq!(got.len(), 400);
         assert_eq!(q.total_dequeued(), 400);
+    }
+
+    /// Enqueues an item and takes it back under one lock hold: the
+    /// waiting consumer is woken but always finds the queue empty.
+    fn enqueue_and_steal<T: Default>(q: &WorkQueue<T>) {
+        let (lock, cvar) = &*q.inner;
+        let mut inner = lock.lock();
+        inner.queue.push_back(T::default());
+        inner.enqueued += 1;
+        cvar.notify_one();
+        let _stolen = inner.queue.pop_front();
+        inner.dequeued += 1;
+    }
+
+    #[test]
+    fn timed_dequeue_honours_its_bound_despite_empty_wakeups() {
+        let q: WorkQueue<u8> = WorkQueue::new();
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let thief = {
+            let (q, done) = (q.clone(), Arc::clone(&done));
+            thread::spawn(move || {
+                // Wake the consumer every 2 ms for at most 2 s: far more
+                // often than its 40 ms timeout, and far longer.
+                let t0 = Instant::now();
+                while !done.load(std::sync::atomic::Ordering::Acquire)
+                    && t0.elapsed() < Duration::from_secs(2)
+                {
+                    enqueue_and_steal(&q);
+                    thread::sleep(Duration::from_millis(2));
+                }
+            })
+        };
+        let t0 = Instant::now();
+        let outcome = q.dequeue_timeout(Duration::from_millis(40));
+        let waited = t0.elapsed();
+        done.store(true, std::sync::atomic::Ordering::Release);
+        thief.join().unwrap();
+        assert_eq!(outcome, DequeueOutcome::TimedOut);
+        assert!(q.total_enqueued() > 1, "the thief woke the consumer");
+        assert!(
+            waited < Duration::from_millis(1000),
+            "a 40 ms dequeue_timeout waited {waited:?}"
+        );
     }
 
     #[test]

@@ -6,8 +6,9 @@ use dope_apps::{dedup, ferret, swaptions, transcode};
 use dope_core::Goal;
 use dope_mechanisms::{for_goal, Tbf, WqLinear, WqtH};
 use dope_runtime::Dope;
+use dope_trace::Recorder;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[test]
 fn transcoding_service_adapts_and_conserves_work() {
@@ -49,19 +50,42 @@ fn transcoding_service_adapts_and_conserves_work() {
     );
 }
 
+/// Blocks until `recorder` holds a `ReconfigureEpoch` event; panics
+/// after `bound`.
+fn wait_for_reconfiguration(recorder: &Recorder, bound: Duration) {
+    let t0 = Instant::now();
+    while !recorder
+        .records()
+        .iter()
+        .any(|r| r.event.kind() == "ReconfigureEpoch")
+    {
+        assert!(
+            t0.elapsed() < bound,
+            "no reconfiguration was applied within {bound:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn ferret_conserves_queries_across_reconfigurations() {
     let corpus = Arc::new(Corpus::synthetic(1500, 3));
     let (pipe, descriptor) = ferret::live_pipeline(corpus);
     ferret::submit_queries(&pipe, 600);
-    pipe.source.close();
 
+    let recorder = Recorder::bounded(1 << 16);
     let dope = Dope::builder(Goal::MaxThroughput { threads: 6 })
         .mechanism(Box::new(Tbf::new()))
         .control_period(Duration::from_millis(20))
         .queue_probe(pipe.queue_probe())
+        .recorder(recorder.clone())
         .launch(descriptor)
         .expect("launch");
+    // The batch can finish before TBF's first consult; hold the source
+    // open until a reconfiguration has been applied, so the queries are
+    // conserved across at least one suspend/relaunch cycle.
+    wait_for_reconfiguration(&recorder, Duration::from_secs(20));
+    pipe.source.close();
     let report = dope.wait().expect("batch completes");
 
     assert_eq!(
