@@ -143,6 +143,26 @@ if [[ "$QUICK" -eq 0 ]]; then
     --workload transcode_open --seed 1 --seconds 3 --trace 0 > "$TRACE_TMP/livebench.txt"
   tail -n 1 "$TRACE_TMP/livebench.txt" | grep -q '"correct": true'
 
+  step "results: figures and seeded traces match the checked-in copies"
+  # The result binaries run the seeded simulator, so their output is
+  # deterministic: it must match results/*.txt byte for byte, and the
+  # three seeded traces must match results/traces.sha256. A change that
+  # claims to keep behaviour proves it here.
+  for bin in ablations fig02 fig11 fig12 fig13 fig14 fig15 table3 table4; do
+    cargo run -q --release --offline -p dope-bench --bin "$bin" > "$TRACE_TMP/$bin.txt"
+    diff -u "results/$bin.txt" "$TRACE_TMP/$bin.txt"
+  done
+  SEEDED="$TRACE_TMP/seeded"
+  DIGESTS="$PWD/results/traces.sha256"
+  mkdir -p "$SEEDED"
+  cargo run -q --release --offline -p dope-bench --bin fig11 -- \
+    --quick "--trace=$SEEDED/fig11-quick.jsonl" > /dev/null
+  cargo run -q --release --offline -p dope-bench --bin fig15 -- \
+    --quick "--trace=$SEEDED/fig15-quick.jsonl" > /dev/null
+  cargo run -q --release --offline -p dope-trace --bin dope-trace -- \
+    record "$SEEDED/dope-trace-record.jsonl" > /dev/null
+  (cd "$SEEDED" && sha256sum -c "$DIGESTS")
+
   step "perf smoke: record-path / snapshot / reconfigure / fig11 gates"
   # Reduced-configuration run of the perf gate (docs/performance.md).
   # The binary itself enforces the in-run invariant (sharded record path

@@ -66,7 +66,10 @@ pub mod task;
 
 pub use admission::{AdmissionPolicy, AdmissionStats};
 pub use config::{Config, ConfigDiff, NestConfig, TaskConfig};
-pub use decision::{realized_throughput, DecisionCandidate, DecisionTrace, Rationale};
+pub use decision::{
+    realized_throughput, Decider, DecisionCandidate, DecisionTrace, Rationale, ScoredDecision,
+    Verdict,
+};
 pub use diag::{DiagCode, Diagnostic, Severity};
 pub use error::{Error, Result};
 pub use ewma::Ewma;

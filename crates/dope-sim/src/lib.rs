@@ -14,8 +14,9 @@
 //!   meter.
 //!
 //! Both models drive the *same* [`Mechanism`](dope_core::Mechanism) trait
-//! as the live `dope-runtime` executive: a mechanism cannot tell whether
-//! its snapshots come from the simulator or from real threads.
+//! through the *same* decision step ([`Decider`](dope_core::Decider)) as
+//! the live `dope-runtime` executive: a mechanism cannot tell whether its
+//! snapshots come from the simulator or from real threads.
 //!
 //! # Example
 //!
@@ -49,5 +50,5 @@ pub mod profile;
 pub mod system;
 
 pub use event::OrdF64;
-pub use observer::{NullObserver, ProposalOutcome, SimObserver};
+pub use observer::{NullObserver, SimObserver};
 pub use profile::AmdahlProfile;

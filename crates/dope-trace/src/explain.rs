@@ -233,7 +233,7 @@ impl ExplainReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dope_core::{DecisionCandidate, Rationale};
+    use dope_core::{DecisionCandidate, DecisionTrace, Rationale, ScoredDecision};
 
     fn decision(
         seq: u64,
@@ -242,26 +242,16 @@ mod tests {
         predicted: Option<f64>,
         realized: Option<f64>,
     ) -> TraceRecord {
-        let prediction_error = match (predicted, realized) {
-            (Some(p), Some(r)) if r > 0.0 => Some((p - r) / r),
-            _ => None,
-        };
+        let mut trace = DecisionTrace::new(rationale, "width=8")
+            .observing("occupancy", 42.0)
+            .candidate(DecisionCandidate::new("width=8", 0.84).predicting(52.0))
+            .candidate(DecisionCandidate::new("hold", 0.0));
+        trace.predicted_throughput = predicted;
+        let event = ScoredDecision::new(time_secs, "WQ-Linear", trace, realized).into();
         TraceRecord {
             seq,
             time_secs,
-            event: TraceEvent::DecisionTraced {
-                mechanism: "WQ-Linear".to_string(),
-                rationale,
-                observed: vec![("occupancy".to_string(), 42.0)],
-                candidates: vec![
-                    DecisionCandidate::new("width=8", 0.84).predicting(52.0),
-                    DecisionCandidate::new("hold", 0.0),
-                ],
-                chosen: "width=8".to_string(),
-                predicted_throughput: predicted,
-                realized_throughput: realized,
-                prediction_error,
-            },
+            event,
         }
     }
 

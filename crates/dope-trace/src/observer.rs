@@ -7,6 +7,13 @@
 //! **simulated** seconds, so replaying the trace reproduces the original
 //! timeline exactly.
 //!
+//! The observer keeps no decision state of its own. The simulator's
+//! `dope_core::Decider` holds each explained decision for one control
+//! period and scores it, exactly as the live executive does; the
+//! observer receives the result through
+//! [`decision_scored`](SimObserver::decision_scored) and writes it as a
+//! `DecisionTraced` event at the decision's own time.
+//!
 //! # Example
 //!
 //! ```
@@ -33,28 +40,26 @@
 //! assert_eq!(recorder.records().last().unwrap().event.kind(), "Finished");
 //! ```
 
-use dope_core::{realized_throughput, Config, DecisionTrace, MonitorSnapshot, ProgramShape};
-use dope_sim::{ProposalOutcome, SimObserver};
+use dope_core::{Config, MonitorSnapshot, ProgramShape, ScoredDecision, Verdict};
+use dope_sim::SimObserver;
 
 use crate::admission::AdmissionSampler;
-use crate::event::{TraceEvent, Verdict};
+use crate::event::TraceEvent;
 use crate::recorder::Recorder;
 
 /// A [`SimObserver`] that records the decision loop into a [`Recorder`].
 ///
-/// Decisions ([`decision_explained`](SimObserver::decision_explained))
-/// are *held for one epoch*: the observer scores the mechanism's
-/// throughput prediction against the next monitor snapshot's realized
-/// bottleneck throughput, then emits a `DecisionTraced` event carrying
-/// both sides and the signed relative error. The final decision of a run
-/// has no next snapshot and is flushed unscored by
-/// [`finished`](RecordingObserver::finished).
+/// Decisions arrive already scored
+/// ([`decision_scored`](SimObserver::decision_scored)): the simulator's
+/// `dope_core::Decider` holds each one for a control period and scores
+/// its throughput prediction against the next snapshot. The observer
+/// records it as a `DecisionTraced` event stamped at the decision's own
+/// time.
 #[derive(Debug, Clone)]
 pub struct RecordingObserver {
     recorder: Recorder,
     goal: String,
     last_time_secs: f64,
-    pending_decision: Option<(f64, String, DecisionTrace)>,
     // The configuration last seen in force (launch or applied), used to
     // classify each applied config as a full or partial (delta)
     // reconfiguration with the same `Config::delta_paths` rule the live
@@ -73,42 +78,9 @@ impl RecordingObserver {
             recorder,
             goal: String::new(),
             last_time_secs: 0.0,
-            pending_decision: None,
             last_config: None,
             admission: None,
         }
-    }
-
-    /// Emits one pending decision, scored against `realized` (the
-    /// bottleneck throughput of the snapshot that followed it), stamped
-    /// at the decision's own time.
-    fn emit_decision(
-        &mut self,
-        time_secs: f64,
-        mechanism: String,
-        trace: DecisionTrace,
-        realized: Option<f64>,
-    ) {
-        let prediction_error = match (trace.predicted_throughput, realized) {
-            (Some(predicted), Some(realized)) if realized > 0.0 => {
-                Some((predicted - realized) / realized)
-            }
-            _ => None,
-        };
-        self.last_time_secs = self.last_time_secs.max(time_secs);
-        self.recorder.record_at(
-            time_secs,
-            TraceEvent::DecisionTraced {
-                mechanism,
-                rationale: trace.rationale,
-                observed: trace.observed,
-                candidates: trace.candidates,
-                chosen: trace.chosen,
-                predicted_throughput: trace.predicted_throughput,
-                realized_throughput: realized,
-                prediction_error,
-            },
-        );
     }
 
     /// Sets the goal string stamped into the `Launched` event.
@@ -138,11 +110,6 @@ impl RecordingObserver {
     /// explicit shutdown hook, so callers invoke this once the run
     /// returns.
     pub fn finished(&mut self, completed: u64, reconfigurations: u64) {
-        // The run is over: the last decision has no follow-up snapshot
-        // to score against, so it goes out unscored.
-        if let Some((at, mechanism, trace)) = self.pending_decision.take() {
-            self.emit_decision(at, mechanism, trace, None);
-        }
         let dropped = self.recorder.dropped();
         self.recorder.record_at(
             self.last_time_secs,
@@ -172,12 +139,6 @@ impl SimObserver for RecordingObserver {
 
     fn snapshot_taken(&mut self, snapshot: &MonitorSnapshot) {
         self.last_time_secs = self.last_time_secs.max(snapshot.time_secs);
-        // Score the previous epoch's decision against what this snapshot
-        // actually realized, then emit it.
-        if let Some((at, mechanism, trace)) = self.pending_decision.take() {
-            let realized = realized_throughput(snapshot);
-            self.emit_decision(at, mechanism, trace, realized);
-        }
         if !self.recorder.is_enabled() {
             return;
         }
@@ -223,14 +184,9 @@ impl SimObserver for RecordingObserver {
         time_secs: f64,
         mechanism: &str,
         proposal: &Config,
-        outcome: ProposalOutcome,
+        verdict: Verdict,
     ) {
         self.last_time_secs = self.last_time_secs.max(time_secs);
-        let verdict = match outcome {
-            ProposalOutcome::Accepted => Verdict::Accepted,
-            ProposalOutcome::Unchanged => Verdict::Unchanged,
-            ProposalOutcome::Rejected(code) => Verdict::Rejected { code },
-        };
         self.recorder.record_at(
             time_secs,
             TraceEvent::ProposalEvaluated {
@@ -269,15 +225,9 @@ impl SimObserver for RecordingObserver {
         self.last_config = Some(config.clone());
     }
 
-    fn decision_explained(&mut self, time_secs: f64, mechanism: &str, trace: &DecisionTrace) {
-        self.last_time_secs = self.last_time_secs.max(time_secs);
-        // A decision arriving before the previous one was scored (the
-        // simulator consulted twice between snapshots) flushes the older
-        // one unscored rather than losing it.
-        if let Some((at, mech, pending)) = self.pending_decision.take() {
-            self.emit_decision(at, mech, pending, None);
-        }
-        self.pending_decision = Some((time_secs, mechanism.to_string(), trace.clone()));
+    fn decision_scored(&mut self, decision: ScoredDecision) {
+        self.last_time_secs = self.last_time_secs.max(decision.time_secs);
+        self.recorder.record_at(decision.time_secs, decision.into());
     }
 }
 
@@ -294,7 +244,7 @@ mod tests {
         let config = Config::new(vec![TaskConfig::leaf("t", 1)]);
         obs.launched("WQ-Linear", 8, &shape, &config);
         obs.snapshot_taken(&MonitorSnapshot::at(1.0));
-        obs.proposal_evaluated(1.0, "WQ-Linear", &config, ProposalOutcome::Unchanged);
+        obs.proposal_evaluated(1.0, "WQ-Linear", &config, Verdict::Unchanged);
         obs.config_applied(2.0, &config);
         obs.finished(10, 1);
 

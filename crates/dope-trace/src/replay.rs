@@ -43,7 +43,7 @@ use dope_core::nest;
 use dope_core::{Config, Mechanism, MonitorSnapshot, ProgramShape, Resources};
 use dope_sim::profile::AmdahlProfile;
 use dope_sim::system::{run_system_observed, SystemParams, TwoLevelModel};
-use dope_sim::{ProposalOutcome, SimObserver};
+use dope_sim::SimObserver;
 use dope_workload::ArrivalSchedule;
 
 use crate::event::{TraceEvent, TraceRecord};
@@ -175,15 +175,6 @@ impl SimObserver for Collector {
         config: &Config,
     ) {
         self.applied.push(config.clone());
-    }
-
-    fn proposal_evaluated(
-        &mut self,
-        _time_secs: f64,
-        _mechanism: &str,
-        _proposal: &Config,
-        _outcome: ProposalOutcome,
-    ) {
     }
 
     fn config_applied(&mut self, _time_secs: f64, config: &Config) {
