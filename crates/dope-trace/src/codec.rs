@@ -30,13 +30,13 @@
 //! assert_eq!(parse_line(&line).unwrap(), record);
 //! ```
 
-use crate::event::{TraceEvent, TraceRecord, Verdict, SCHEMA_VERSION};
+use crate::event::{TraceEvent, TraceRecord, SCHEMA_VERSION};
 use dope_core::json::{
     config_from_value, config_to_value, parse, shape_from_value, shape_to_value, JsonError, Value,
 };
 use dope_core::{
     AdmissionStats, DecisionCandidate, DiagCode, MonitorSnapshot, QueueStats, Rationale, TaskPath,
-    TaskStats,
+    TaskStats, Verdict,
 };
 
 // ---------------------------------------------------------------------------

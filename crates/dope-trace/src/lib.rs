@@ -81,7 +81,7 @@ pub mod timeline;
 
 pub use admission::AdmissionSampler;
 pub use codec::{parse_jsonl, parse_line, to_jsonl, to_jsonl_line};
-pub use event::{TraceEvent, TraceRecord, Verdict, SCHEMA_VERSION};
+pub use event::{TraceEvent, TraceRecord, SCHEMA_VERSION};
 pub use explain::{explain, ExplainReport};
 pub use observer::RecordingObserver;
 pub use recorder::Recorder;

@@ -25,7 +25,9 @@
 
 use std::fmt::Write as _;
 
-use crate::event::{TraceEvent, TraceRecord, Verdict};
+use dope_core::Verdict;
+
+use crate::event::{TraceEvent, TraceRecord};
 
 /// Renders `records` as an ASCII timeline, one line per record.
 #[must_use]

@@ -8,11 +8,9 @@
 
 use dope_core::{
     AdmissionStats, Config, DecisionCandidate, DiagCode, MonitorSnapshot, NestConfig, ProgramShape,
-    QueueStats, Rationale, ShapeNode, TaskConfig, TaskKind, TaskPath, TaskStats,
+    QueueStats, Rationale, ShapeNode, TaskConfig, TaskKind, TaskPath, TaskStats, Verdict,
 };
-use dope_trace::{
-    parse_jsonl, parse_line, to_jsonl, to_jsonl_line, TraceEvent, TraceRecord, Verdict,
-};
+use dope_trace::{parse_jsonl, parse_line, to_jsonl, to_jsonl_line, TraceEvent, TraceRecord};
 use proptest::prelude::*;
 
 /// Fixed name pools: the proptest shim has no string strategy, so names
